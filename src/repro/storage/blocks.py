@@ -51,7 +51,7 @@ import numpy as np
 from repro.common.cdf import Measurement
 from repro.errors import ConfigurationError, QueryError, SeriesNotFoundError
 from repro.storage.query import RangeQuery, choose_resolution
-from repro.storage.timeseries import TimeSeries
+from repro.storage.timeseries import TimeSeries, resample
 
 #: rollup bucket slots: [count, sum, min, max, first_t, first_v,
 #: last_t, last_v]
@@ -438,7 +438,10 @@ class BlockStore:
         :meth:`~repro.storage.timeseries.TimeSeries.resample` uses);
         empty buckets are omitted.  Served from the coarsest rollup
         resolution dividing *step* when one exists, otherwise from a
-        raw block scan.  ``prefer="raw"`` forces the scan path (the
+        raw block scan.  A rollup bucket straddling *start* or *end*
+        that holds samples outside the window is replaced by a raw scan
+        of its in-window part, so both paths count the same samples.
+        ``prefer="raw"`` forces the scan path (the
         benchmark's comparison arm); ``prefer="rollup"`` raises if no
         rollup can serve the query.
         """
@@ -464,11 +467,19 @@ class BlockStore:
     def _query_rollup(self, device_id: str, quantity: str, start: float,
                       end: float, step: float, agg: str,
                       resolution: float) -> List[Tuple[float, float]]:
-        buckets = self._series[(device_id, quantity)].rollups[resolution]
+        series = self._series[(device_id, quantity)]
         combined: Dict[float, List[float]] = {}
-        for bucket_start, aggregate in buckets.items():
-            if bucket_start < start or bucket_start >= end:
+        for bucket_start, aggregate in series.rollups[resolution].items():
+            bucket_end = bucket_start + resolution
+            if bucket_end <= start or bucket_start >= end:
                 continue
+            if aggregate[_FIRST_T] < start or aggregate[_LAST_T] >= end:
+                # an edge bucket holding samples outside the window:
+                # aggregate only its in-window part, from raw blocks
+                aggregate = self._raw_bucket(
+                    series, max(start, bucket_start), min(end, bucket_end))
+                if aggregate is None:
+                    continue
             slot = (bucket_start // step) * step
             target = combined.get(slot)
             if target is None:
@@ -482,8 +493,7 @@ class BlockStore:
                    end: float, step: float, agg: str
                    ) -> List[Tuple[float, float]]:
         times, values = self._scan(device_id, quantity, start, end)
-        return TimeSeries(list(zip(times.tolist(), values.tolist()))) \
-            .resample(step, agg)
+        return resample(times, values.tolist(), step, agg)
 
     def _scan(self, device_id: str, quantity: str, start: float,
               end: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -578,8 +588,8 @@ class BlockStore:
                         if start + resolution <= horizon:
                             stale.append(start)
                         elif start < cutoff:
-                            rebuilt = self._rebuild_bucket(
-                                series, start, resolution
+                            rebuilt = self._raw_bucket(
+                                series, start, start + resolution
                             )
                             if rebuilt is None:
                                 stale.append(start)
@@ -602,15 +612,13 @@ class BlockStore:
                 "samples_retired": samples_retired,
                 "rollup_buckets_pruned": pruned}
 
-    def _rebuild_bucket(self, series: _Series, start: float,
-                        resolution: float) -> Optional[List[float]]:
-        """Recompute one rollup bucket from surviving raw samples.
+    def _raw_bucket(self, series: _Series, start: float, end: float
+                    ) -> Optional[List[float]]:
+        """A rollup aggregate of the raw samples in ``[start, end)``.
 
-        Returns ``None`` when no raw sample remains in the bucket's
-        time range (the bucket should be dropped).
+        Returns ``None`` when no raw sample lies in that range.
         """
-        times, values = self._scan_series(series, start,
-                                          start + resolution)
+        times, values = self._scan_series(series, start, end)
         if not len(times):
             return None
         bucket = _new_bucket(float(times[0]), float(values[0]))

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.cdf import Measurement
 from repro.errors import SeriesNotFoundError
 from repro.storage.query import RangeQuery
-from repro.storage.timeseries import TimeSeries
+from repro.storage.timeseries import TimeSeries, resample
 
 
 class LocalDatabase:
@@ -62,18 +62,11 @@ class LocalDatabase:
 
     def query(self, query: RangeQuery) -> List[Tuple[float, float]]:
         """Run a range query; aggregated if the query asks for buckets."""
-        series = self.series(query.device_id, query.quantity)
-        start = query.start if query.start is not None else float("-inf")
-        end = query.end if query.end is not None else float("inf")
-        if start == float("-inf") and not len(series):
-            return []
-        windowed = series.window(
-            start if start != float("-inf") else series.first()[0],
-            end,
-        ) if len(series) else TimeSeries()
+        times, values = self.series(query.device_id, query.quantity) \
+            .slice(query.start, query.end)
         if query.bucket is None:
-            return windowed.to_pairs()
-        return windowed.resample(query.bucket, query.agg)
+            return list(zip(times, values))
+        return resample(times, values, query.bucket, query.agg)
 
     def sample_count(self) -> int:
         """Total stored samples across all series."""

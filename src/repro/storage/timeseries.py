@@ -29,6 +29,54 @@ _AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
 
 AGGREGATIONS = tuple(sorted(_AGGREGATORS))
 
+#: aggregation name -> value of a one-sample bucket, equal to what the
+#: reducer gives on a length-1 array (numpy sums from +0.0, so a lone
+#: -0.0 comes back as 0.0)
+_SINGLE: Dict[str, Callable[[float], float]] = {
+    "mean": lambda v: v + 0.0,
+    "sum": lambda v: v + 0.0,
+    "min": lambda v: v,
+    "max": lambda v: v,
+    "last": lambda v: v,
+    "first": lambda v: v,
+    "count": lambda v: 1.0,
+}
+
+
+def resample(times: Sequence[float], values: Sequence[float],
+             bucket: float, agg: str = "mean") -> List[Tuple[float, float]]:
+    """Aggregate time-sorted samples into fixed buckets in one pass.
+
+    A bucket starts at ``floor(t / bucket) * bucket``; empty buckets
+    are omitted.  *values* must hold python floats.  Each result is
+    bit-identical to the numpy reducer applied to that bucket's values:
+    a one-sample bucket is answered directly, a larger one runs the
+    reducer on its slice (keeping numpy's pairwise-sum rounding).
+    """
+    if bucket <= 0:
+        raise StorageError("bucket width must be positive")
+    try:
+        reducer = _AGGREGATORS[agg]
+        single = _SINGLE[agg]
+    except KeyError:
+        raise StorageError(f"unknown aggregation {agg!r}") from None
+    if not len(times):
+        return []
+    starts = np.floor(np.asarray(times, dtype=float) / bucket) * bucket
+    edges = (np.flatnonzero(np.diff(starts)) + 1).tolist()
+    edges.append(len(times))
+    starts = starts.tolist()
+    out: List[Tuple[float, float]] = []
+    lo = 0
+    for hi in edges:
+        if hi - lo == 1:
+            out.append((starts[lo], single(values[lo])))
+        else:
+            out.append((starts[lo],
+                        reducer(np.asarray(values[lo:hi], dtype=float))))
+        lo = hi
+    return out
+
 
 class TimeSeries:
     """A sorted sequence of (timestamp, value) samples."""
@@ -78,15 +126,24 @@ class TimeSeries:
             raise StorageError("series is empty")
         return self._times[0], self._values[0]
 
+    def slice(self, start: Optional[float] = None,
+              end: Optional[float] = None
+              ) -> Tuple[List[float], List[float]]:
+        """Samples with ``start <= t < end`` as (times, values) lists.
+
+        ``None`` leaves that side of the window open.
+        """
+        lo = 0 if start is None else bisect.bisect_left(self._times, start)
+        hi = len(self._times) if end is None \
+            else bisect.bisect_left(self._times, end)
+        return self._times[lo:hi], self._values[lo:hi]
+
     def window(self, start: float, end: float) -> "TimeSeries":
         """Samples with ``start <= t < end`` as a new series."""
         if end < start:
             raise StorageError(f"reversed window [{start}, {end})")
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
         out = TimeSeries()
-        out._times = self._times[lo:hi]
-        out._values = self._values[lo:hi]
+        out._times, out._values = self.slice(start, end)
         return out
 
     def value_at(self, t: float) -> float:
@@ -101,25 +158,9 @@ class TimeSeries:
         """Aggregate into fixed buckets; empty buckets are omitted.
 
         Returns (bucket_start, aggregate) pairs, bucket boundaries are
-        multiples of *bucket*.
+        multiples of *bucket* (see :func:`resample`).
         """
-        if bucket <= 0:
-            raise StorageError("bucket width must be positive")
-        try:
-            reducer = _AGGREGATORS[agg]
-        except KeyError:
-            raise StorageError(f"unknown aggregation {agg!r}") from None
-        if not self._times:
-            return []
-        times = self.times
-        values = self.values
-        starts = np.floor(times / bucket) * bucket
-        out: List[Tuple[float, float]] = []
-        boundaries = np.flatnonzero(np.diff(starts)) + 1
-        chunks = np.split(np.arange(len(times)), boundaries)
-        for chunk in chunks:
-            out.append((float(starts[chunk[0]]), reducer(values[chunk])))
-        return out
+        return resample(self._times, self._values, bucket, agg)
 
     def integrate_hours(self) -> float:
         """Trapezoidal integral of value dt, with dt in hours.

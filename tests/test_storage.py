@@ -71,6 +71,47 @@ class TestLocalDatabase:
         series = db.series("dev-0001", "power")
         assert series.to_pairs() == [(200.0, 3.0)]
 
+    def test_query_after_retention_sees_only_kept_samples(self):
+        db = LocalDatabase(retention=100.0)
+        for t in (0.0, 30.0, 90.0, 150.0, 200.0):
+            db.insert(meas(value=t, t=t))
+        assert db.query(RangeQuery("dev-0001", "power")) == [
+            (150.0, 150.0), (200.0, 200.0)]
+        assert db.query(RangeQuery("dev-0001", "power", start=0.0,
+                                   end=1000.0, bucket=100.0,
+                                   agg="count")) == [(100.0, 1.0),
+                                                     (200.0, 1.0)]
+
+    @pytest.mark.parametrize("start,end,expected", [
+        (None, 120.0, [(0.0, 0.0), (60.0, 1.0)]),
+        (120.0, None, [(120.0, 2.0), (180.0, 3.0)]),
+        (None, -5.0, []),
+        (500.0, None, []),
+    ])
+    def test_query_open_ended_windows(self, start, end, expected):
+        db = LocalDatabase()
+        for i in range(4):
+            db.insert(meas(value=float(i), t=i * 60.0))
+        assert db.query(RangeQuery("dev-0001", "power", start=start,
+                                   end=end)) == expected
+        assert db.query(RangeQuery("dev-0001", "power", start=start,
+                                   end=end, bucket=60.0)) == expected
+
+    def test_query_empty_series(self):
+        db = LocalDatabase()
+        db.insert(meas(t=10.0))
+        db.series("dev-0001", "power").prune_before(float("inf"))
+        assert db.query(RangeQuery("dev-0001", "power")) == []
+        assert db.query(RangeQuery("dev-0001", "power", start=0.0,
+                                   end=60.0, bucket=60.0)) == []
+
+    def test_raw_query_returns_samples_in_time_order(self):
+        db = LocalDatabase()
+        for t in (120.0, 0.0, 60.0, 60.0):
+            db.insert(meas(value=t + 1.0, t=t))
+        assert db.query(RangeQuery("dev-0001", "power", start=60.0)) == [
+            (60.0, 61.0), (60.0, 61.0), (120.0, 121.0)]
+
     def test_sample_count(self):
         db = LocalDatabase()
         db.insert(meas())

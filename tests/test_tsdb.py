@@ -308,6 +308,42 @@ class TestBlockStore:
                 assert t_r == t_s
                 assert v_r == pytest.approx(v_s)
 
+    @pytest.mark.parametrize("start,end", [
+        (95.0, 900.0),     # start inside a rollup bucket
+        (0.0, 845.5),      # end inside one, samples after it
+        (95.0, 845.5),     # both edges straddle
+        (130.0, 170.0),    # window inside one bucket
+        (-1e9, 1e9),       # open-ended
+    ])
+    @pytest.mark.parametrize("step", [60.0, 900.0])
+    def test_unaligned_window_rollup_matches_raw(self, start, end, step):
+        store = BlockStore(TsdbConfig(block_size=16,
+                                      compaction_target=64))
+        fill(store, n=700, value_of=lambda i: ((i * 37) % 101) / 7.0)
+        for agg in AGGREGATIONS:
+            rollup = store.query_range("dev-0001", "temperature",
+                                       start, end, step, agg)
+            assert store.last_query_source == f"rollup:{step:g}"
+            raw = store.query_range("dev-0001", "temperature",
+                                    start, end, step, agg, prefer="raw")
+            assert [t for t, _v in rollup] == [t for t, _v in raw]
+            for (_t, v_r), (_t2, v_s) in zip(rollup, raw):
+                assert v_r == pytest.approx(v_s, rel=1e-9, abs=1e-9)
+
+    def test_aligned_window_with_no_later_samples_is_scan_free(
+            self, monkeypatch):
+        store = BlockStore(TsdbConfig(block_size=16,
+                                      compaction_target=64))
+        fill(store, n=700)  # last sample at 1188.3
+        scans = []
+        monkeypatch.setattr(store, "_scan_series",
+                            lambda *args: scans.append(args))
+        # the dashboard view: aligned start, end past the newest sample
+        # but inside its rollup bucket
+        store.query_range("dev-0001", "temperature", 0.0, 1190.0, 900.0)
+        assert store.last_query_source == "rollup:900"
+        assert scans == []
+
     def test_coarse_step_served_from_coarsest_rollup(self):
         store = BlockStore()
         fill(store, n=300, dt=60.0)
