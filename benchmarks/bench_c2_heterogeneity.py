@@ -80,7 +80,7 @@ def build_mixed_deployment(protocols, devices_per_protocol=4):
 
 @pytest.mark.parametrize("protocols", MIXES,
                          ids=lambda p: f"{len(p)}proto")
-def test_heterogeneous_mix(protocols, benchmark, report):
+def test_heterogeneous_mix(protocols, timed, report):
     net, proxies, truths = build_mixed_deployment(protocols)
     with report.measure(EXPERIMENT, net):
         net.scheduler.run_until(301.0)
@@ -113,8 +113,8 @@ def test_heterogeneous_mix(protocols, benchmark, report):
     frame = adapter.encode_readings(device.address, [("power", 750.0)],
                                     400.0)
 
-    benchmark(proxy._on_frame, frame)
-    mean_us = benchmark.stats.stats.mean * 1e6
+    _, timing = timed(proxy._on_frame, frame)
+    mean_us = timing.mean * 1e6
     samples = sum(p.database.sample_count() for p in proxies.values())
     report.header(EXPERIMENT,
                   "heterogeneity: correctness and per-sample cost vs "

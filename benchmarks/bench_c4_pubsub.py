@@ -27,7 +27,7 @@ EVENTS = 50
 
 
 @pytest.mark.parametrize("subscribers", SUBSCRIBER_COUNTS)
-def test_fanout_latency(subscribers, benchmark, report):
+def test_fanout_latency(subscribers, timed, report):
     net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
     broker = Broker(net.add_host("broker"))
     publisher = connect(net.add_host("pub"), "broker")
@@ -55,11 +55,10 @@ def test_fanout_latency(subscribers, benchmark, report):
         return arrivals["n"] - start
 
     with report.measure(EXPERIMENT, net):
-        delivered = benchmark.pedantic(publish_burst, rounds=3,
-                                       iterations=1)
+        delivered, timing = timed(publish_burst, rounds=3)
     assert delivered == EVENTS * subscribers
     summary = metrics.summary("delivery")
-    wall_mean = benchmark.stats.stats.mean
+    wall_mean = timing.mean
     throughput = delivered / wall_mean
     report.header(EXPERIMENT,
                   "pub/sub middleware: fan-out latency and throughput")
@@ -77,10 +76,10 @@ def test_fanout_latency(subscribers, benchmark, report):
     ("district/+/entity/+/device/+/power", "plus-wildcards"),
     ("district/#", "hash-wildcard"),
 ])
-def test_topic_matching_cost(pattern, label, benchmark, report):
+def test_topic_matching_cost(pattern, label, timed, report):
     topic = measurement_topic("dst-0001", "bld-0001", "dev-0001", "power")
     assert topic_matches(pattern, topic)
-    benchmark(topic_matches, pattern, topic)
-    mean_us = benchmark.stats.stats.mean * 1e6
+    _, timing = timed(topic_matches, pattern, topic)
+    mean_us = timing.mean * 1e6
     report.add(EXPERIMENT,
                f"topic match {label:<15s} {mean_us:7.2f} us/match")

@@ -33,40 +33,40 @@ BIM_SIZES = ((2, 3), (4, 6), (8, 12))  # (storeys, spaces per storey)
 
 @pytest.mark.parametrize("storeys,spaces", BIM_SIZES,
                          ids=lambda v: str(v))
-def test_bim_translation(storeys, spaces, benchmark, report):
+def test_bim_translation(storeys, spaces, timed, report):
     rng = np.random.RandomState(55)
     store = build_office_bim(rng, "Bench", storeys, spaces,
                              5000.0, "TO-05-0001", 2001)
-    model = benchmark(translate_bim, store, "bld-0001")
+    model, timing = timed(translate_bim, store, "bld-0001")
     components = len(model.components)
-    per_component_us = benchmark.stats.stats.mean * 1e6 / components
+    per_component_us = timing.mean * 1e6 / components
     report.header(EXPERIMENT, "translation to the common data format")
-    report.record(EXPERIMENT, wall_seconds=benchmark.stats.stats.total)
+    report.record(EXPERIMENT, wall_seconds=timing.total)
     report.add(EXPERIMENT,
                f"BIM translate  {len(store):4d} records -> "
                f"{components:4d} components: "
-               f"{benchmark.stats.stats.mean * 1e3:7.3f} ms "
+               f"{timing.mean * 1e3:7.3f} ms "
                f"({per_component_us:6.1f} us/component)")
 
 
-def test_sim_translation(benchmark, report):
+def test_sim_translation(timed, report):
     district = synthesize_district(seed=55, n_buildings=16, n_networks=1)
     sim = district.networks[0].sim
-    model = benchmark(translate_sim, sim, "net-0001")
+    model, timing = timed(translate_sim, sim, "net-0001")
     report.add(EXPERIMENT,
                f"SIM translate  {len(sim):4d} rows    -> "
                f"{len(model.components):4d} components: "
-               f"{benchmark.stats.stats.mean * 1e3:7.3f} ms")
+               f"{timing.mean * 1e3:7.3f} ms")
 
 
-def test_gis_translation(benchmark, report):
+def test_gis_translation(timed, report):
     district = synthesize_district(seed=55, n_buildings=4)
     feature = district.gis.feature(district.buildings[0].feature_id)
-    model = benchmark(translate_gis_feature, feature, "bld-0001")
+    model, timing = timed(translate_gis_feature, feature, "bld-0001")
     assert model.geometry is not None
     report.add(EXPERIMENT,
                f"GIS translate  1 feature     -> geometry+props:       "
-               f"{benchmark.stats.stats.mean * 1e6:7.1f} us")
+               f"{timing.mean * 1e6:7.1f} us")
 
 
 def _big_model():
@@ -76,20 +76,20 @@ def _big_model():
 
 
 @pytest.mark.parametrize("fmt", ["json", "xml"])
-def test_encode(fmt, benchmark, report):
+def test_encode(fmt, timed, report):
     model = _big_model()
-    text = benchmark(serialization.encode, model, fmt)
+    text, timing = timed(serialization.encode, model, fmt)
     report.add(EXPERIMENT,
                f"encode {fmt:<4s} ({len(text):6d} chars): "
-               f"{benchmark.stats.stats.mean * 1e3:7.3f} ms")
+               f"{timing.mean * 1e3:7.3f} ms")
 
 
 @pytest.mark.parametrize("fmt", ["json", "xml"])
-def test_decode(fmt, benchmark, report):
+def test_decode(fmt, timed, report):
     model = _big_model()
     text = serialization.encode(model, fmt)
-    decoded = benchmark(serialization.decode, text, fmt)
+    decoded, timing = timed(serialization.decode, text, fmt)
     assert decoded == model
     report.add(EXPERIMENT,
                f"decode {fmt:<4s} ({len(text):6d} chars): "
-               f"{benchmark.stats.stats.mean * 1e3:7.3f} ms")
+               f"{timing.mean * 1e3:7.3f} ms")

@@ -53,15 +53,15 @@ def build_ontology(entities):
 
 
 @pytest.mark.parametrize("entities", ENTITY_COUNTS)
-def test_whole_district_resolution(entities, benchmark, report):
+def test_whole_district_resolution(entities, timed, report):
     onto = build_ontology(entities)
     query = AreaQuery(district_id="dst-0001")
-    resolved = benchmark(resolve, onto, query)
+    resolved, timing = timed(resolve, onto, query)
     assert len(resolved.entities) == entities
     nodes = onto.node_count()
-    mean_ms = benchmark.stats.stats.mean * 1e3
+    mean_ms = timing.mean * 1e3
     report.header(EXPERIMENT, "ontology resolution vs size/selectivity")
-    report.record(EXPERIMENT, wall_seconds=benchmark.stats.stats.total)
+    report.record(EXPERIMENT, wall_seconds=timing.total)
     report.add(EXPERIMENT,
                f"whole district   nodes={nodes:<7d} "
                f"entities={entities:<6d} resolve={mean_ms:9.3f} ms "
@@ -72,41 +72,41 @@ def test_whole_district_resolution(entities, benchmark, report):
     (0.01, "bbox-1%"),
     (0.25, "bbox-25%"),
 ])
-def test_bbox_selectivity(selectivity, label, benchmark, report):
+def test_bbox_selectivity(selectivity, label, timed, report):
     entities = 10_000
     onto = build_ontology(entities)
     grid = int(entities ** 0.5) + 1
     span = grid * 100.0 * (selectivity ** 0.5)
     query = AreaQuery(district_id="dst-0001",
                       bbox=BoundingBox(0.0, 0.0, span, span))
-    resolved = benchmark(resolve, onto, query)
+    resolved, timing = timed(resolve, onto, query)
     fraction = len(resolved.entities) / entities
     report.add(EXPERIMENT,
                f"{label:<16s} nodes={onto.node_count():<7d} "
                f"matched={len(resolved.entities):<6d} "
                f"({fraction * 100:5.1f}%) "
-               f"resolve={benchmark.stats.stats.mean * 1e3:9.3f} ms")
+               f"resolve={timing.mean * 1e3:9.3f} ms")
 
 
-def test_quantity_filter(benchmark, report):
+def test_quantity_filter(timed, report):
     onto = build_ontology(1000)
     query = AreaQuery(district_id="dst-0001", quantity="energy")
-    resolved = benchmark(resolve, onto, query)
+    resolved, timing = timed(resolve, onto, query)
     # only the first device of each entity senses energy
     assert resolved.device_count == 1000
     report.add(EXPERIMENT,
                f"quantity filter  nodes={onto.node_count():<7d} "
                f"devices matched={resolved.device_count:<6d} "
-               f"resolve={benchmark.stats.stats.mean * 1e3:9.3f} ms")
+               f"resolve={timing.mean * 1e3:9.3f} ms")
 
 
-def test_single_entity_lookup(benchmark, report):
+def test_single_entity_lookup(timed, report):
     onto = build_ontology(10_000)
     query = AreaQuery(district_id="dst-0001",
                       entity_ids=("bld-5000",))
-    resolved = benchmark(resolve, onto, query)
+    resolved, timing = timed(resolve, onto, query)
     assert len(resolved.entities) == 1
     report.add(EXPERIMENT,
                f"single entity    nodes={onto.node_count():<7d} "
                f"matched=1      "
-               f"resolve={benchmark.stats.stats.mean * 1e3:9.3f} ms")
+               f"resolve={timing.mean * 1e3:9.3f} ms")

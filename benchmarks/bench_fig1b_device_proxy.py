@@ -50,18 +50,18 @@ def make_frame(protocol):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_dedicated_layer_decode(protocol, benchmark, report):
+def test_dedicated_layer_decode(protocol, timed, report):
     adapter, frame = make_frame(protocol)
-    readings = benchmark(adapter.decode_frame, frame, 60.0)
+    readings, timing = timed(adapter.decode_frame, frame, 60.0)
     assert readings
-    mean_us = benchmark.stats.stats.mean * 1e6
+    mean_us = timing.mean * 1e6
     report.header(EXPERIMENT, "Figure 1(b) Device-proxy: per-layer costs")
     report.add(EXPERIMENT,
                f"dedicated-layer decode  {protocol:<11s} "
                f"{mean_us:8.1f} us/frame ({len(frame)} bytes)")
 
 
-def test_local_database_insert(benchmark, report):
+def test_local_database_insert(timed, report):
     db = LocalDatabase(retention=7 * 86400.0)
     counter = {"n": 0}
 
@@ -72,8 +72,8 @@ def test_local_database_insert(benchmark, report):
             value=100.0, timestamp=float(counter["n"] * 60),
         ))
 
-    benchmark(insert)
-    mean_us = benchmark.stats.stats.mean * 1e6
+    _, timing = timed(insert)
+    mean_us = timing.mean * 1e6
     report.add(EXPERIMENT,
                f"local-database insert   {'(all)':<11s} "
                f"{mean_us:8.1f} us/sample")

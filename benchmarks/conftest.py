@@ -16,6 +16,10 @@ either directly via :meth:`ExperimentReport.record` or, for
 network-driving workloads, by wrapping the measured section in
 :meth:`ExperimentReport.measure`, which captures the wall/sim/message
 deltas around the block.
+
+Benchmarks read their wall-clock timings through the :func:`timed`
+fixture rather than ``benchmark.stats``, so they also run under
+``--benchmark-disable`` (where pytest-benchmark keeps no stats).
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -147,6 +152,40 @@ _REPORT = ExperimentReport()
 def report() -> ExperimentReport:
     """The session-wide experiment report."""
     return _REPORT
+
+
+@dataclass(frozen=True)
+class Timing:
+    """Wall seconds of a benchmarked call: per-round mean and total."""
+
+    mean: float
+    total: float
+
+
+@pytest.fixture
+def timed(benchmark):
+    """``timed(target, *args, rounds=None, **kwargs) -> (result, Timing)``.
+
+    Runs *target* under the ``benchmark`` fixture; *rounds* switches to
+    ``benchmark.pedantic`` with one iteration per round.  Under
+    ``--benchmark-disable`` the fixture calls *target* once and keeps
+    no stats, so that one call is timed here and is both the mean and
+    the total.
+    """
+    def run(target, *args, rounds=None, **kwargs) -> Tuple[Any, Timing]:
+        start = time.perf_counter()
+        if rounds is None:
+            result = benchmark(target, *args, **kwargs)
+        else:
+            result = benchmark.pedantic(target, args=args, kwargs=kwargs,
+                                        rounds=rounds, iterations=1)
+        elapsed = time.perf_counter() - start
+        if benchmark.disabled:
+            return result, Timing(elapsed, elapsed)
+        stats = benchmark.stats.stats
+        return result, Timing(stats.mean, stats.total)
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -79,7 +79,12 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, \
     Tuple
 
 from repro.errors import ConfigurationError
-from repro.middleware.topics import topic_matches, validate_filter, validate_topic
+from repro.middleware.topics import (
+    SubscriptionIndex,
+    topic_matches,
+    validate_filter,
+    validate_topic,
+)
 from repro.network.transport import Host, Message, estimate_size
 from repro.network.webservice import (
     GET,
@@ -98,9 +103,6 @@ BROKER_PORT = "pubsub"
 
 #: topic level prefixed to a dead-lettered event's original topic
 DEAD_LETTER_PREFIX = "deadletter"
-
-#: distinct concrete topics whose match sets the broker caches
-_MATCH_CACHE_CAP = 1024
 
 
 @dataclass(slots=True)
@@ -242,12 +244,12 @@ class Broker:
         self.max_delivery_attempts = max_delivery_attempts
         self.dead_letter_capacity = dead_letter_capacity
         self._subs: Dict[int, _Sub] = {}
-        #: concrete topic -> sub_ids whose pattern matches, in
-        #: subscription order — publish fan-out stops re-matching
-        #: wildcards per event.  Cleared on ANY ``_subs`` mutation
-        #: (subscribe, unsubscribe, replay, restore, dead-sub reaping);
-        #: bounded so a topic-cardinality explosion cannot leak memory.
-        self._match_cache: Dict[str, List[Tuple[int, int]]] = {}
+        #: the filters of ``_subs`` in a trie, matched in ``_subs``
+        #: order; each entry carries the wire-size delta its ``sub_id``
+        #: key adds to a fan-out envelope (', "sub_id": N').  Only
+        #: :meth:`_add_sub`, :meth:`_drop_sub` and :meth:`_clear_subs`
+        #: touch either, which keeps the two in step.
+        self._index = SubscriptionIndex()
         # topic -> last retained event payload (publish with retain=True)
         self._retained: Dict[str, dict] = {}
         self._next_sub_id = 1
@@ -433,8 +435,7 @@ class Broker:
         BrokerDurabilityConfig`, call :meth:`recover` afterwards to
         restore the durable state from disk instead.
         """
-        self._subs.clear()
-        self._match_cache.clear()
+        self._clear_subs()
         self._retained.clear()
         self._deliveries.clear()
         self._pending_pubs.clear()
@@ -446,6 +447,25 @@ class Broker:
         self._op_seq = 0
         if self.wal is not None:
             self.wal.close()  # the dying process loses its file handle
+
+    # -- subscription table ------------------------------------------------
+
+    def _add_sub(self, sub_id: int, sub: _Sub) -> None:
+        """Insert or replace one subscription, table and index alike."""
+        self._index.add(sub_id, sub.pattern, len(str(sub_id)) + 12)
+        self._subs[sub_id] = sub
+
+    def _drop_sub(self, sub_id: int) -> bool:
+        """Remove one subscription; False if it was not live."""
+        if self._subs.pop(sub_id, None) is None:
+            return False
+        self._index.discard(sub_id)
+        return True
+
+    def _clear_subs(self) -> None:
+        """Remove every subscription (restart, snapshot restore)."""
+        self._subs.clear()
+        self._index.clear()
 
     # -- durable broker state (WAL + snapshot + recover) -------------------
 
@@ -484,15 +504,13 @@ class Broker:
             self._retained[record["topic"]] = dict(record["event"])
         elif op == "sub":
             sub_id = int(record["sub_id"])
-            self._subs[sub_id] = _Sub(
+            self._add_sub(sub_id, _Sub(
                 record["pattern"], record["subscriber"], record["port"],
                 record.get("token"), bool(record.get("ack", False)),
-            )
-            self._match_cache.clear()
+            ))
             self._next_sub_id = max(self._next_sub_id, sub_id + 1)
         elif op == "unsub":
-            self._subs.pop(int(record["sub_id"]), None)
-            self._match_cache.clear()
+            self._drop_sub(int(record["sub_id"]))
         elif op == "delivery":
             delivery_id = int(record["delivery_id"])
             if delivery_id in self._deliveries:
@@ -583,8 +601,7 @@ class Broker:
         delivery; pass ``False`` on standbys (only the primary may
         redeliver).
         """
-        self._subs.clear()
-        self._match_cache.clear()
+        self._clear_subs()
         self._retained.clear()
         self._deliveries.clear()
         self._pending_pubs.clear()
@@ -596,10 +613,10 @@ class Broker:
         for topic, event in state.get("retained", {}).items():
             self._retained[topic] = dict(event)
         for sub in state.get("subs", []):
-            self._subs[int(sub["sub_id"])] = _Sub(
+            self._add_sub(int(sub["sub_id"]), _Sub(
                 sub["pattern"], sub["subscriber"], sub["port"],
                 sub.get("token"), bool(sub.get("ack", False)),
-            )
+            ))
         failed = {tuple(key) for key in state.get("failed_pubs", [])}
         for record in state.get("deliveries", []):
             pub_key = tuple(record["pub_key"]) \
@@ -818,9 +835,8 @@ class Broker:
                        "subscriber": message.sender,
                        "port": payload["port"], "token": token,
                        "ack": ack})
-            self._subs[sub_id] = _Sub(sys.intern(pattern), message.sender,
-                                      payload["port"], token, ack)
-            self._match_cache.clear()
+            self._add_sub(sub_id, _Sub(sys.intern(pattern), message.sender,
+                                       payload["port"], token, ack))
             self.stats.subscriptions += 1
         self.host.send(message.sender, payload["port"],
                        {"kind": "sub-ack", "sub_id": sub_id,
@@ -842,8 +858,7 @@ class Broker:
 
     def _unsubscribe(self, message: Message) -> None:
         sub_id = message.payload.get("sub_id")
-        if self._subs.pop(sub_id, None) is not None:
-            self._match_cache.clear()
+        if self._drop_sub(sub_id):
             self._log({"op": "unsub", "sub_id": sub_id})
 
     # -- backpressure ------------------------------------------------------
@@ -902,7 +917,7 @@ class Broker:
     def _publish(self, message: Message) -> None:
         payload = message.payload
         topic = payload["topic"]
-        validate_topic(topic)
+        levels = validate_topic(topic)
         over_quota = self._over_quota(message.sender)
         if self._saturated() or over_quota:
             self._reject_publish(message, fairness=over_quota)
@@ -951,26 +966,14 @@ class Broker:
         deliveries = 0
         acked_delivery_ids: List[int] = []
         subs = self._subs
-        matched = self._match_cache.get(topic)
-        if matched is None:
-            # each entry carries the precomputed wire-size delta its
-            # ``sub_id`` key adds to a fan-out envelope (', "sub_id": N')
-            matched = [(sub_id, len(str(sub_id)) + 12)
-                       for sub_id, sub in subs.items()
-                       if topic_matches(sub.pattern, topic)]
-            if len(self._match_cache) >= _MATCH_CACHE_CAP:
-                self._match_cache.clear()
-            self._match_cache[topic] = matched
         # the fan-out envelopes differ from `event` only by the small
         # ASCII keys added below, so their wire size is the base size
         # plus an exact per-key delta — estimated once per publish, not
         # once per subscriber
         base_size = estimate_size(event)
         send = self.host.send
-        for sub_id, sub_id_delta in matched:
-            sub = subs.get(sub_id)
-            if sub is None:
-                continue
+        for sub_id, sub_id_delta in self._index.match(levels):
+            sub = subs[sub_id]
             if not network.has_host(sub.subscriber):
                 dead.append(sub_id)
                 continue
@@ -1006,8 +1009,7 @@ class Broker:
             send(sub.subscriber, sub.port, fanout, size=size)
         self.stats.fanout_deliveries += deliveries
         for sub_id in dead:
-            if subs.pop(sub_id, None) is not None:
-                self._match_cache.clear()
+            self._drop_sub(sub_id)
             self.stats.dead_subscriptions_dropped += 1
         if reliable:
             if acked_delivery_ids:
@@ -1131,8 +1133,7 @@ class Broker:
         network = self.host.network
         if not network.has_host(delivery.subscriber):
             # the subscriber host is gone for good: nothing to deliver to
-            if self._subs.pop(delivery.sub_id, None) is not None:
-                self._match_cache.clear()
+            self._drop_sub(delivery.sub_id)
             self.stats.dead_subscriptions_dropped += 1
             self._release_delivery(delivery)
             return
@@ -1201,9 +1202,9 @@ class Broker:
             "published_at": self.host.network.scheduler.now,
             "publisher": self.host.name,
         }
-        for sub_id, sub in self._subs.items():
-            if not topic_matches(sub.pattern, dlq_topic):
-                continue
+        matched = self._index.match(validate_topic(dlq_topic))
+        for sub_id, _delta in matched:
+            sub = self._subs[sub_id]
             if not self.host.network.has_host(sub.subscriber):
                 continue
             self.stats.fanout_deliveries += 1

@@ -160,17 +160,12 @@ class TestBrokerScaling:
 
 
 class TestMatchCache:
-    """The per-topic match-set cache must never change which
-    subscribers an event reaches."""
+    """A subscription change takes effect on the very next publish.
 
-    def test_cache_populated_on_publish(self, net, broker):
-        peer = make_peer(net, "p")
-        peer.subscribe("t/#", lambda e: None)
-        net.scheduler.run_until_idle()
-        peer.publish("t/1", 1)
-        net.scheduler.run_until_idle()
-        assert "t/1" in broker._match_cache
-        assert len(broker._match_cache["t/1"]) == 1
+    These tests guarded a per-topic match cache's invalidation; the
+    subscription index that replaced it keeps no per-topic state, and
+    its own tests live in ``tests/test_sub_index.py``.
+    """
 
     def test_new_subscriber_invalidates_cache(self, net, broker):
         publisher = make_peer(net, "pub")
@@ -216,27 +211,6 @@ class TestMatchCache:
         publisher.publish("t/1", 3)  # rebuilt match set is empty
         net.scheduler.run_until_idle()
         assert broker.stats.fanout_deliveries == 1
-
-    def test_restart_clears_cache(self, net, broker):
-        peer = make_peer(net, "p")
-        peer.subscribe("t/#", lambda e: None)
-        net.scheduler.run_until_idle()
-        peer.publish("t/1", 1)
-        net.scheduler.run_until_idle()
-        assert broker._match_cache
-        broker.reset()
-        assert broker._match_cache == {}
-
-    def test_cache_bounded_against_topic_cardinality(self, net, broker):
-        from repro.middleware.broker import _MATCH_CACHE_CAP
-
-        peer = make_peer(net, "p")
-        peer.subscribe("t/#", lambda e: None)
-        net.scheduler.run_until_idle()
-        for i in range(_MATCH_CACHE_CAP + 10):
-            peer.publish(f"t/{i}", None)
-        net.scheduler.run_until_idle()
-        assert len(broker._match_cache) <= _MATCH_CACHE_CAP
 
 
 class TestFanoutWireSize:
